@@ -23,7 +23,11 @@ pub const DEFAULT_RECONNECT_ATTEMPTS: u32 = 3;
 /// Default for [`NodeConfig::reconnect_base_delay`].
 pub const DEFAULT_RECONNECT_BASE_DELAY: Duration = Duration::from_millis(25);
 
-/// Default for [`NodeConfig::reconnect_window`].
+/// Default for [`NodeConfig::reconnect_window`]. A killed node is
+/// confirmed within milliseconds by the refused dial of its listener, so
+/// the window only bounds peers whose listener still accepts but which
+/// never re-handshake (a hung process) — long enough for a redial
+/// campaign's backoff, short against the default round timeout.
 pub const DEFAULT_RECONNECT_WINDOW: Duration = Duration::from_millis(500);
 
 /// Configuration of one node in an `n`-node TCP system.
@@ -42,17 +46,21 @@ pub struct NodeConfig {
     /// How long one round may wait for missing peers before the
     /// transport gives up: peers whose stream closed are then confirmed
     /// dead, and still-connected silent peers surface as a round
-    /// timeout rather than a fabricated crash.
+    /// timeout rather than a fabricated crash. An upper bound: it is
+    /// reached only while the round stays stalled. It also caps the
+    /// resend interval at `clamp(round_timeout / 10, 50 ms, 1 s)`.
     pub round_timeout: Duration,
     /// How many redial campaigns a broken outbound link gets before the
-    /// peer is confirmed dead (each campaign retries with bounded
-    /// exponential backoff from [`NodeConfig::reconnect_base_delay`]).
+    /// peer is only probed (each campaign retries with bounded
+    /// exponential backoff from [`NodeConfig::reconnect_base_delay`]). A
+    /// refused dial ends a campaign at once and confirms the peer dead.
     pub reconnect_attempts: u32,
     /// First retry delay of a redial campaign; doubles per attempt.
     pub reconnect_base_delay: Duration,
     /// How long a peer whose stream closed may take to re-handshake
-    /// before it is confirmed dead (the inbound-side reconnect budget —
-    /// the closed peer must redial us within this window).
+    /// before it is confirmed dead. An upper bound: a refused dial of the
+    /// peer's listener confirms it sooner, so the window is reached only
+    /// while that listener still accepts.
     pub reconnect_window: Duration,
     /// An injected link-fault plan, applied to first-arrival `Msg`
     /// frames at this node's receive boundary (recovery frames are
@@ -120,7 +128,7 @@ impl NodeConfig {
         self
     }
 
-    /// Overrides the inbound-side reconnect window.
+    /// Overrides the reconnect window.
     pub fn with_reconnect_window(mut self, window: Duration) -> NodeConfig {
         self.reconnect_window = window;
         self

@@ -17,19 +17,42 @@
 //!
 //! An anomaly is not instantly a death. A round that stalls escalates
 //! through **suspicion**: the node rebroadcasts [`FrameKind::Resend`]
-//! requests, and any peer answers with [`FrameKind::Relay`] copies of
-//! the round's broadcasts it has seen (including a crashed sender's
-//! delivered prefix — relays propagate it to peers the prefix missed).
-//! A *closed* stream starts a bounded-exponential-backoff redial
-//! campaign (for peers this node dials) or an acceptance window on the
-//! persistent listener (for peers that dial this node); a successful
-//! re-handshake resumes at the current round by replaying the sender's
-//! recent frames. Only when the reconnect budget is exhausted does the
-//! transport fall back to the old kill-detection and confirm the peer
-//! dead. A peer that stays *connected but silent* past `round_timeout`
-//! is **not** declared crashed — that would fabricate a paper-model
-//! failure the adversary never scheduled — and surfaces as
-//! [`TcpError::RoundTimeout`] instead.
+//! requests — the first after 1 ms, then on a doubling interval up to
+//! `clamp(round_timeout / 10, 50 ms, 1 s)` — and any peer answers with
+//! [`FrameKind::Relay`] copies of the round's broadcasts it has seen
+//! (including a crashed sender's delivered prefix — relays propagate it
+//! to peers the prefix missed).
+//!
+//! A *closed* stream starts recovery, once per break: a
+//! bounded-exponential-backoff redial campaign (for peers this node
+//! dials) or a liveness probe of the peer's listener (for peers that
+//! dial this node, and for dialed peers whose redial budget is spent);
+//! a successful re-handshake resumes at the current round by replaying
+//! the sender's recent frames. Death is confirmed by the first of:
+//!
+//! * **refused** — a dial of the peer's listen address is refused. A
+//!   node's listener lives exactly as long as its process (see below),
+//!   so a refusal proves the process gone; this is the event that
+//!   stands in for the paper's "a missing round-r message is the
+//!   failure notice", and it usually lands within milliseconds;
+//! * **gave up** — the redial campaigns ran out of budget;
+//! * **window** — the peer did not re-handshake within
+//!   `reconnect_window` of the close;
+//! * **deadline** — the round hit `round_timeout` with the link still
+//!   closed.
+//!
+//! `reconnect_window` and `round_timeout` are therefore upper bounds,
+//! reached only while the peer's listener still accepts (a hung or
+//! unreachable process) or the round stays stalled. A peer that stays
+//! *connected but silent* past `round_timeout` is **not** declared
+//! crashed — that would fabricate a paper-model failure the adversary
+//! never scheduled — and surfaces as [`TcpError::RoundTimeout`] instead.
+//!
+//! **The listener invariant.** The accept thread retries transient
+//! `accept()` errors (`ECONNABORTED`, `EMFILE`, …) and exits only once
+//! the transport's event channel is gone, so a live node never refuses
+//! a dial. Streams that arrive without a valid `Hello` — the probes
+//! above among them — are dropped without disturbing the node.
 //!
 //! # Injected faults
 //!
@@ -61,12 +84,12 @@ use std::sync::{mpsc, Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use setagree_obs::Counter;
+use setagree_obs::{Counter, Histogram};
 use setagree_sync::{FaultPlan, LinkFault};
 use setagree_types::ProcessId;
 
 use crate::config::NodeConfig;
-use crate::frame::{Frame, FrameError, FrameKind};
+use crate::frame::{Frame, FrameKind};
 use crate::transport::Transport;
 
 /// How many past rounds of broadcasts are retained for relay service.
@@ -76,6 +99,21 @@ const RELAY_KEEP: usize = 4;
 /// reconnect windows and the round deadline are re-checked while
 /// blocked on the event channel.
 const COLLECT_TICK: Duration = Duration::from_millis(25);
+
+/// First delay of every retry loop — the mesh dial, a liveness probe and
+/// a stalled round's `Resend` — doubling per attempt. On a LAN a round's
+/// frames normally arrive well within it, and the doubling keeps a
+/// persistently stalled round to a handful of waves before the cap.
+const FIRST_RETRY: Duration = Duration::from_millis(1);
+
+/// Cap on the mesh dial's retry delay.
+const DIAL_RETRY_CAP: Duration = Duration::from_millis(25);
+
+/// Back-off after a transient `accept()` error.
+const ACCEPT_RETRY: Duration = Duration::from_millis(5);
+
+/// How long the listener waits for a new stream's `Hello`.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Every frame kind, in tag order — drives the per-kind counter arrays.
 const FRAME_KINDS: [FrameKind; 5] = [
@@ -108,13 +146,48 @@ fn kind_index(kind: FrameKind) -> usize {
     }
 }
 
-/// Registry handles for the transport counters, resolved once per
+/// Why a peer was confirmed dead — the `cause` label of
+/// `tcp_crash_confirm_us`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Confirm {
+    /// A dial of the peer's listener was refused.
+    Refused,
+    /// The reconnect window closed without a re-handshake.
+    Window,
+    /// The round deadline passed with the link still closed.
+    Deadline,
+    /// The redial campaigns exhausted their budget.
+    GaveUp,
+}
+
+impl Confirm {
+    const ALL: [Confirm; 4] = [
+        Confirm::Refused,
+        Confirm::Window,
+        Confirm::Deadline,
+        Confirm::GaveUp,
+    ];
+
+    fn label(self) -> &'static str {
+        match self {
+            Confirm::Refused => "refused",
+            Confirm::Window => "window",
+            Confirm::Deadline => "deadline",
+            Confirm::GaveUp => "gave_up",
+        }
+    }
+}
+
+/// Registry handles for the transport metrics, resolved once per
 /// process so the per-frame cost is one relaxed load plus one atomic
 /// add. `tcp_frames_sent`/`tcp_frames_received` are labeled by frame
 /// kind; the recovery counters (`tcp_frames_resent`,
 /// `tcp_relays_served`, `tcp_redial_*`, `tcp_peers_confirmed_down`,
 /// `tcp_round_timeouts`) expose how hard the self-healing machinery is
-/// working.
+/// working, and `tcp_crash_confirm_us{cause}` times each crash
+/// confirmation from the stream close. A settled peer that leaves is a
+/// clean exit, not a crash: it counts in neither
+/// `tcp_peers_confirmed_down` nor `tcp_crash_confirm_us`.
 struct TcpMetrics {
     frames_sent: [Arc<Counter>; 5],
     frames_received: [Arc<Counter>; 5],
@@ -125,6 +198,7 @@ struct TcpMetrics {
     redials_failed: Arc<Counter>,
     peers_confirmed_down: Arc<Counter>,
     round_timeouts: Arc<Counter>,
+    crash_confirm_us: [Arc<Histogram>; 4],
 }
 
 fn tcp_metrics() -> &'static TcpMetrics {
@@ -143,6 +217,9 @@ fn tcp_metrics() -> &'static TcpMetrics {
             redials_failed: setagree_obs::counter("tcp_redials_failed", &[]),
             peers_confirmed_down: setagree_obs::counter("tcp_peers_confirmed_down", &[]),
             round_timeouts: setagree_obs::counter("tcp_round_timeouts", &[]),
+            crash_confirm_us: Confirm::ALL.map(|cause| {
+                setagree_obs::histogram("tcp_crash_confirm_us", &[("cause", cause.label())])
+            }),
         }
     })
 }
@@ -158,9 +235,7 @@ pub enum TcpError {
         /// The underlying error.
         source: io::Error,
     },
-    /// A handshake frame was malformed.
-    Frame(FrameError),
-    /// A peer's first frame was not a valid, expected `Hello`.
+    /// Two handshakes claimed the same peer while the mesh formed.
     BadHello,
     /// Not every peer connected before the deadline.
     HandshakeTimeout,
@@ -190,8 +265,7 @@ impl fmt::Display for TcpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TcpError::Io { context, source } => write!(f, "{context}: {source}"),
-            TcpError::Frame(e) => write!(f, "malformed handshake: {e}"),
-            TcpError::BadHello => write!(f, "peer's first frame was not a valid hello"),
+            TcpError::BadHello => write!(f, "two handshakes claimed the same peer"),
             TcpError::HandshakeTimeout => {
                 write!(f, "full mesh did not form before the connect deadline")
             }
@@ -211,11 +285,16 @@ impl Error for TcpError {}
 #[derive(Debug)]
 enum PeerEvent {
     Frame(Frame),
-    Closed,
+    /// A reader's stream ended; carries the generation of the link it
+    /// read, so the close of a superseded link is recognisably stale.
+    Closed(u32),
     /// A (re)connected, hello-identified stream for this peer — from the
-    /// persistent listener (peer redialled us) or from one of our redial
-    /// campaigns (we reached the peer again).
+    /// persistent listener (peer dialled us) or from our redial campaign
+    /// (we reached the peer again).
     Reconnected(TcpStream),
+    /// A dial of the peer's listen address was refused: its process is
+    /// gone.
+    Refused,
     /// A redial campaign exhausted its backoff budget.
     GaveUp,
 }
@@ -225,13 +304,14 @@ enum PeerEvent {
 struct PeerState {
     /// The round after which the peer (cleanly) stopped participating.
     settled_at: Option<usize>,
-    /// Confirmed dead: stream closed *and* the reconnect budget ran out.
-    down: bool,
-    /// The peer's stream closed; recovery is in progress.
-    suspect: bool,
-    /// When the stream closed (drives the inbound reconnect window).
+    /// Confirmed dead, and by which rule.
+    down: Option<Confirm>,
+    /// When the current link closed; `None` while it is open.
     closed_at: Option<Instant>,
-    /// Redial campaigns left before a closed outbound link is final.
+    /// Generation of the current link, bumped on every adoption.
+    link: u32,
+    /// Redial campaigns left before a closed outbound link is only
+    /// probed.
     redials_left: u32,
 }
 
@@ -239,9 +319,9 @@ impl PeerState {
     fn fresh(redials: u32) -> PeerState {
         PeerState {
             settled_at: None,
-            down: false,
-            suspect: false,
+            down: None,
             closed_at: None,
+            link: 0,
             redials_left: redials,
         }
     }
@@ -254,7 +334,7 @@ pub struct TcpTransport {
     n: usize,
     writers: Vec<Option<TcpStream>>,
     events: mpsc::Receiver<(usize, PeerEvent)>,
-    /// Kept for redial campaigns and adopted-stream reader threads; also
+    /// Kept for recovery threads and adopted-stream reader threads; also
     /// guarantees `events` never observes a disconnect.
     event_tx: mpsc::Sender<(usize, PeerEvent)>,
     peer_addrs: Vec<SocketAddr>,
@@ -301,55 +381,18 @@ impl TcpTransport {
         let listener =
             TcpListener::bind(config.my_addr()).map_err(|e| TcpError::io("bind listener", e))?;
 
+        // Inbound half of the mesh: every higher id dials us, and keeps
+        // dialing us to heal a broken link, so every accepted stream
+        // arrives as an identified `Reconnected` event.
         let (event_tx, events) = mpsc::channel();
-
-        // Inbound half of the mesh: every higher id dials us. After the
-        // initial mesh forms, the same listener keeps accepting —
-        // re-handshakes from peers healing a broken link arrive as
-        // identified `Reconnected` events.
-        let expected_inbound = n - 1 - me.index();
-        let (accept_tx, accept_rx) = mpsc::channel();
-        let reconnect_tx = event_tx.clone();
-        thread::spawn(move || {
-            for _ in 0..expected_inbound {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if accept_tx.send(stream).is_err() {
-                            return;
-                        }
-                    }
-                    Err(_) => return,
-                }
-            }
-            drop(accept_tx);
-            loop {
-                let Ok((mut stream, _)) = listener.accept() else {
-                    return;
-                };
-                let _ = stream.set_nodelay(true);
-                // Identify inline, but never let a silent dialer wedge
-                // the listener.
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-                let hello = Frame::read_from(&mut stream);
-                let _ = stream.set_read_timeout(None);
-                let peer = match hello {
-                    Ok(Some(f)) if f.kind == FrameKind::Hello => f.from.index(),
-                    _ => continue,
-                };
-                if reconnect_tx
-                    .send((peer, PeerEvent::Reconnected(stream)))
-                    .is_err()
-                {
-                    return;
-                }
-            }
-        });
+        spawn_acceptor(listener, me.index(), n, event_tx.clone());
 
         let mut writers: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
 
         // Outbound half: dial every lower id, retrying until the
         // deadline so nodes may start in any order.
         for (peer, &addr) in config.peers.iter().enumerate().take(me.index()) {
+            let mut retry = FIRST_RETRY;
             let stream = loop {
                 match TcpStream::connect(addr) {
                     Ok(s) => break s,
@@ -357,7 +400,8 @@ impl TcpTransport {
                         if Instant::now() >= deadline {
                             return Err(TcpError::io(&format!("connect to {addr}"), e));
                         }
-                        thread::sleep(Duration::from_millis(25));
+                        thread::sleep(retry);
+                        retry = (retry * 2).min(DIAL_RETRY_CAP);
                     }
                 }
             };
@@ -371,22 +415,19 @@ impl TcpTransport {
             writers[peer] = Some(stream);
         }
 
-        // Identify the inbound connections by their hello frames.
-        for _ in 0..expected_inbound {
+        // Collect the identified inbound connections. No reader exists
+        // yet, so the listener is the only event source.
+        for _ in me.index() + 1..n {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            let mut stream = accept_rx
+            let (peer, event) = events
                 .recv_timeout(remaining)
                 .map_err(|_| TcpError::HandshakeTimeout)?;
-            let _ = stream.set_nodelay(true);
-            let hello = Frame::read_from(&mut stream).map_err(TcpError::Frame)?;
-            let peer = match hello {
-                Some(f) if f.kind == FrameKind::Hello => f.from.index(),
+            match event {
+                PeerEvent::Reconnected(stream) if writers[peer].is_none() => {
+                    writers[peer] = Some(stream);
+                }
                 _ => return Err(TcpError::BadHello),
-            };
-            if peer <= me.index() || peer >= n || writers[peer].is_some() {
-                return Err(TcpError::BadHello);
             }
-            writers[peer] = Some(stream);
         }
 
         // One reader thread per peer, all feeding one ordered channel.
@@ -395,7 +436,7 @@ impl TcpTransport {
             let reader = writer
                 .try_clone()
                 .map_err(|e| TcpError::io("clone stream", e))?;
-            spawn_reader(peer, reader, event_tx.clone());
+            spawn_reader(peer, 0, reader, event_tx.clone());
         }
 
         Ok(TcpTransport {
@@ -429,63 +470,72 @@ impl TcpTransport {
     }
 
     /// Whether the round loop still expects a frame from `peer` in
-    /// `round`. Suspects are expected: they may heal.
+    /// `round`. Peers whose link is closed are expected: they may heal.
     fn expects(&self, peer: usize, round: usize) -> bool {
         let state = self.peers[peer];
-        !state.down && state.settled_at.is_none_or(|r| r >= round)
+        state.down.is_none() && state.settled_at.is_none_or(|r| r >= round)
     }
 
-    /// Confirms a peer dead: its stream is gone and its reconnect budget
-    /// is spent. The old instant-death path, now the last resort.
-    fn mark_down(&mut self, peer: usize) {
-        if !self.peers[peer].down && setagree_obs::enabled() {
-            tcp_metrics().peers_confirmed_down.inc();
-        }
-        self.peers[peer].down = true;
-        self.peers[peer].suspect = false;
-        if let Some(w) = self.writers[peer].take() {
-            let _ = w.shutdown(Shutdown::Both);
-        }
-    }
-
-    /// A peer's stream broke (EOF, read error or write failure): mark it
-    /// suspect and start recovery — a redial campaign if we are the
-    /// dialing side, otherwise the listener's reconnect window.
-    fn note_closed(&mut self, peer: usize) {
-        if self.peers[peer].down {
+    /// Confirms a peer dead, timing the confirmation from the close.
+    fn mark_down(&mut self, peer: usize, cause: Confirm) {
+        let state = &mut self.peers[peer];
+        if state.down.is_some() {
             return;
         }
+        if state.settled_at.is_none() && setagree_obs::enabled() {
+            let metrics = tcp_metrics();
+            metrics.peers_confirmed_down.inc();
+            if let Some(at) = state.closed_at {
+                let us = u64::try_from(at.elapsed().as_micros()).unwrap_or(u64::MAX);
+                metrics.crash_confirm_us[cause as usize].record(us);
+            }
+        }
+        state.down = Some(cause);
         if let Some(w) = self.writers[peer].take() {
             let _ = w.shutdown(Shutdown::Both);
         }
+    }
+
+    /// A peer's link broke (EOF, read error or write failure). Recovery
+    /// starts only on the open → closed transition, so the two
+    /// observations of one break — the failed write and the reader's
+    /// EOF — spend one campaign. At most one campaign per peer is in
+    /// flight: a link this node dials reopens only through its own
+    /// campaign, which that ends. A peer this node dials gets a redial
+    /// campaign while its budget lasts; every other close gets a
+    /// liveness probe.
+    fn note_closed(&mut self, peer: usize) {
+        let Some(w) = self.writers[peer].take() else {
+            return;
+        };
+        let _ = w.shutdown(Shutdown::Both);
+        let addr = self.peer_addrs[peer];
+        let tx = self.event_tx.clone();
         let state = &mut self.peers[peer];
-        state.suspect = true;
         state.closed_at = Some(Instant::now());
         if peer < self.me.index() && state.redials_left > 0 {
             state.redials_left -= 1;
             spawn_redial(
                 self.me,
                 peer,
-                self.peer_addrs[peer],
+                addr,
                 self.reconnect_attempts,
                 self.reconnect_base_delay,
-                self.event_tx.clone(),
+                tx,
             );
+        } else {
+            spawn_probe(peer, addr, Instant::now() + self.reconnect_window, tx);
         }
     }
 
     /// Adopts a freshly (re)identified stream for `peer` and resumes at
     /// the current round: replay our recent broadcasts (the originals
     /// may have died with the old socket) and our settlement, then pull
-    /// whatever we missed.
+    /// whatever we missed. With one campaign per break, a new handshake
+    /// means the peer's side saw the old link die, so the newer stream
+    /// always replaces it.
     fn adopt_stream(&mut self, peer: usize, stream: TcpStream) {
-        if peer >= self.n || peer == self.me.index() || self.peers[peer].down {
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-        if !self.peers[peer].suspect && self.writers[peer].is_some() {
-            // The link is healthy; a spurious extra handshake (hostile
-            // or raced) must not hijack it.
+        if peer == self.me.index() || self.peers[peer].down.is_some() {
             let _ = stream.shutdown(Shutdown::Both);
             return;
         }
@@ -493,11 +543,13 @@ impl TcpTransport {
             let _ = stream.shutdown(Shutdown::Both);
             return;
         };
-        self.writers[peer] = Some(stream);
-        spawn_reader(peer, reader, self.event_tx.clone());
+        if let Some(old) = self.writers[peer].replace(stream) {
+            let _ = old.shutdown(Shutdown::Both);
+        }
         let state = &mut self.peers[peer];
-        state.suspect = false;
+        state.link = state.link.wrapping_add(1);
         state.closed_at = None;
+        spawn_reader(peer, state.link, reader, self.event_tx.clone());
 
         // Resume: recent broadcasts as ordinary first-arrival Msg frames
         // (an injected plan judges them exactly once, deterministically),
@@ -685,13 +737,22 @@ impl TcpTransport {
         }
         match event {
             PeerEvent::Frame(frame) => self.note_frame(peer, frame, round, got),
-            PeerEvent::Closed => self.note_closed(peer),
+            PeerEvent::Closed(link) => {
+                if link == self.peers[peer].link {
+                    self.note_closed(peer);
+                }
+            }
             PeerEvent::Reconnected(stream) => self.adopt_stream(peer, stream),
-            PeerEvent::GaveUp => {
-                // The campaign failed; if the link healed through the
-                // listener in the meantime, the give-up is stale.
-                if self.peers[peer].suspect {
-                    self.mark_down(peer);
+            PeerEvent::Refused | PeerEvent::GaveUp => {
+                // If the link healed in the meantime, a give-up is
+                // stale; a refusal still proves death, and the healed
+                // link will close on its own.
+                if self.peers[peer].closed_at.is_some() {
+                    let cause = match event {
+                        PeerEvent::Refused => Confirm::Refused,
+                        _ => Confirm::GaveUp,
+                    };
+                    self.mark_down(peer, cause);
                 }
             }
         }
@@ -705,7 +766,51 @@ impl TcpTransport {
     }
 }
 
-fn spawn_reader(peer: usize, mut reader: TcpStream, tx: mpsc::Sender<(usize, PeerEvent)>) {
+/// The accept loop, which owns the listener. Only higher ids dial this
+/// node, so a stream is forwarded as `Reconnected` only behind a `Hello`
+/// from such an id; anything else — a liveness probe, a stray or hostile
+/// connection — is dropped. Transient accept errors are retried: the
+/// listener must live as long as the transport, whose dropped event
+/// channel is the loop's only exit.
+fn spawn_acceptor(
+    listener: TcpListener,
+    me: usize,
+    n: usize,
+    tx: mpsc::Sender<(usize, PeerEvent)>,
+) {
+    thread::spawn(move || loop {
+        let mut stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(_) => {
+                thread::sleep(ACCEPT_RETRY);
+                continue;
+            }
+        };
+        let _ = stream.set_nodelay(true);
+        // Identify inline, but never let a silent dialer wedge the
+        // listener.
+        let _ = stream.set_read_timeout(Some(HELLO_TIMEOUT));
+        let hello = Frame::read_from(&mut stream);
+        let _ = stream.set_read_timeout(None);
+        let peer = match hello {
+            Ok(Some(f)) if f.kind == FrameKind::Hello => f.from.index(),
+            _ => continue,
+        };
+        if peer <= me || peer >= n {
+            continue;
+        }
+        if tx.send((peer, PeerEvent::Reconnected(stream))).is_err() {
+            return;
+        }
+    });
+}
+
+fn spawn_reader(
+    peer: usize,
+    link: u32,
+    mut reader: TcpStream,
+    tx: mpsc::Sender<(usize, PeerEvent)>,
+) {
     thread::spawn(move || loop {
         match Frame::read_from(&mut reader) {
             Ok(Some(frame)) => {
@@ -714,14 +819,16 @@ fn spawn_reader(peer: usize, mut reader: TcpStream, tx: mpsc::Sender<(usize, Pee
                 }
             }
             Ok(None) | Err(_) => {
-                let _ = tx.send((peer, PeerEvent::Closed));
+                let _ = tx.send((peer, PeerEvent::Closed(link)));
                 return;
             }
         }
     });
 }
 
-/// One redial campaign: bounded exponential backoff, then give up.
+/// One redial campaign: bounded exponential backoff, then give up. A
+/// refused dial ends it at once — the peer's listener is gone, so is the
+/// peer.
 fn spawn_redial(
     me: ProcessId,
     peer: usize,
@@ -733,19 +840,27 @@ fn spawn_redial(
     thread::spawn(move || {
         let obs_on = setagree_obs::enabled();
         let mut delay = base_delay;
+        let mut outcome = PeerEvent::GaveUp;
         for _ in 0..attempts.max(1) {
             if obs_on {
                 tcp_metrics().redial_attempts.inc();
             }
-            if let Ok(mut stream) = TcpStream::connect(addr) {
-                let _ = stream.set_nodelay(true);
-                if Frame::hello(me).write_to(&mut stream).is_ok() {
-                    if obs_on {
-                        tcp_metrics().redials_ok.inc();
+            match TcpStream::connect(addr) {
+                Ok(mut stream) => {
+                    let _ = stream.set_nodelay(true);
+                    if Frame::hello(me).write_to(&mut stream).is_ok() {
+                        if obs_on {
+                            tcp_metrics().redials_ok.inc();
+                        }
+                        let _ = tx.send((peer, PeerEvent::Reconnected(stream)));
+                        return;
                     }
-                    let _ = tx.send((peer, PeerEvent::Reconnected(stream)));
-                    return;
                 }
+                Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => {
+                    outcome = PeerEvent::Refused;
+                    break;
+                }
+                Err(_) => {}
             }
             thread::sleep(delay);
             delay = delay.saturating_mul(2);
@@ -753,7 +868,38 @@ fn spawn_redial(
         if obs_on {
             tcp_metrics().redials_failed.inc();
         }
-        let _ = tx.send((peer, PeerEvent::GaveUp));
+        let _ = tx.send((peer, outcome));
+    });
+}
+
+/// Watches the listener of a peer whose link closed: connect and drop
+/// without a `Hello` (the listener skips such streams) on a doubling
+/// backoff from [`FIRST_RETRY`] until `until`. A successful connect
+/// changes nothing — the peer may still heal the link — but a refusal
+/// proves the peer's process gone. The first probe after a kill often
+/// still connects: the victim shuts its sockets just before it exits.
+fn spawn_probe(
+    peer: usize,
+    addr: SocketAddr,
+    until: Instant,
+    tx: mpsc::Sender<(usize, PeerEvent)>,
+) {
+    thread::spawn(move || {
+        let mut delay = FIRST_RETRY;
+        loop {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            if let Err(e) = TcpStream::connect_timeout(&addr, left) {
+                if e.kind() == io::ErrorKind::ConnectionRefused {
+                    let _ = tx.send((peer, PeerEvent::Refused));
+                    return;
+                }
+            }
+            thread::sleep(delay.min(until.saturating_duration_since(Instant::now())));
+            delay = delay.saturating_mul(2);
+        }
     });
 }
 
@@ -816,10 +962,12 @@ impl Transport for TcpTransport {
             }
         }
         let deadline = Instant::now() + self.round_timeout;
-        // Suspicion cadence: a stalled round asks for relays well before
-        // the deadline, and keeps asking.
-        let resend_interval =
+        // Suspicion cadence: a stalled round asks for relays after a short
+        // floor, then ever less often up to the cap, until the deadline.
+        // Extra resends are harmless: relays land in sender-keyed inboxes.
+        let resend_cap =
             (self.round_timeout / 10).clamp(Duration::from_millis(50), Duration::from_secs(1));
+        let mut resend_interval = FIRST_RETRY;
         let mut next_resend = Instant::now() + resend_interval;
         loop {
             let missing: Vec<usize> = (0..self.n)
@@ -834,10 +982,9 @@ impl Transport for TcpTransport {
             // A closed peer that did not re-handshake within the window
             // has spent its reconnect budget: confirmed dead.
             for &p in &missing {
-                let state = self.peers[p];
-                if let (true, Some(at)) = (state.suspect, state.closed_at) {
+                if let Some(at) = self.peers[p].closed_at {
                     if now >= at + self.reconnect_window {
-                        self.mark_down(p);
+                        self.mark_down(p, Confirm::Window);
                     }
                 }
             }
@@ -845,13 +992,13 @@ impl Transport for TcpTransport {
                 let mut silent = Vec::new();
                 for &p in &missing {
                     let state = self.peers[p];
-                    if state.down {
+                    if state.down.is_some() {
                         continue;
                     }
-                    if state.suspect {
+                    if state.closed_at.is_some() {
                         // Stream gone and the deadline beat the window:
                         // the budget is spent either way.
-                        self.mark_down(p);
+                        self.mark_down(p, Confirm::Deadline);
                     } else {
                         silent.push(ProcessId::new(p));
                     }
@@ -869,11 +1016,7 @@ impl Transport for TcpTransport {
             }
             if now >= next_resend {
                 self.send_resends(round);
-                for &p in &missing {
-                    if !self.peers[p].down {
-                        self.peers[p].suspect = true;
-                    }
-                }
+                resend_interval = (resend_interval * 2).min(resend_cap);
                 next_resend = now + resend_interval;
             }
             let wait = COLLECT_TICK
@@ -1088,7 +1231,10 @@ mod tests {
                         }
                     }
                 }
-                assert!(!tcp.peers[1 - i].down, "peer wrongly confirmed dead");
+                assert!(
+                    tcp.peers[1 - i].down.is_none(),
+                    "peer wrongly confirmed dead"
+                );
                 counts
             })
         };
@@ -1096,6 +1242,120 @@ mod tests {
         let b = run(1, true);
         assert_eq!(a.join().expect("node 0"), vec![2, 2, 2]);
         assert_eq!(b.join().expect("node 1"), vec![2, 2, 2]);
+    }
+
+    #[test]
+    fn one_break_spends_one_redial_campaign() {
+        // Node 1 dials node 0. One break is observed twice — by the
+        // failed write and by the reader's end-of-stream — and must start
+        // exactly one campaign.
+        let peers = localhost_peers(2, 42170);
+        let node0 = {
+            let peers = peers.clone();
+            thread::spawn(move || {
+                let config = NodeConfig::new(ProcessId::new(0), peers).expect("valid config");
+                TcpTransport::establish(&config).expect("mesh forms")
+            })
+        };
+        let config = NodeConfig::new(ProcessId::new(1), peers).expect("valid config");
+        let mut tcp = TcpTransport::establish(&config).expect("mesh forms");
+        let _node0 = node0.join().expect("node 0");
+
+        let budget = tcp.peers[0].redials_left;
+        let link = tcp.peers[0].link;
+        if let Some(w) = &tcp.writers[0] {
+            let _ = w.shutdown(Shutdown::Both);
+        }
+        tcp.write_frame(0, &Frame::msg(tcp.me, 1, vec![1]));
+        tcp.handle_event(0, PeerEvent::Closed(link), 1, &mut BTreeMap::new());
+        assert_eq!(tcp.peers[0].redials_left, budget - 1);
+    }
+
+    #[test]
+    fn a_refused_dial_confirms_a_dead_peer() {
+        // Node 2 is a raw-socket fake with no listener at its address: it
+        // handshakes, sends its round-1 frame and vanishes without
+        // `Settled`. With a 30 s reconnect window and round timeout, only
+        // the refusal rule confirms it dead before the rounds run out.
+        let peers = localhost_peers(3, 42180);
+        let real = |i: usize| {
+            let peers = peers.clone();
+            thread::spawn(move || {
+                let config = NodeConfig::new(ProcessId::new(i), peers)
+                    .expect("valid config")
+                    .with_round_timeout(Duration::from_secs(30))
+                    .with_reconnect_window(Duration::from_secs(30));
+                let tcp = TcpTransport::establish(&config).expect("mesh forms");
+                let mut transport = Typed::new(tcp, U32Codec);
+                let best = (i + 1) as u32;
+                let outcome = drive(MaxFlood { rounds: 3, best }, &mut transport, None, 10)
+                    .expect("a vanished peer must not break the drive loop");
+                (outcome, transport.inner().peers[2].down)
+            })
+        };
+        let a = real(0);
+        let b = real(1);
+
+        let me = ProcessId::new(2);
+        let streams: Vec<TcpStream> = peers[..2]
+            .iter()
+            .map(|&addr| {
+                let mut s = loop {
+                    match TcpStream::connect(addr) {
+                        Ok(s) => break s,
+                        Err(_) => thread::sleep(Duration::from_millis(10)),
+                    }
+                };
+                Frame::hello(me).write_to(&mut s).expect("hello");
+                Frame::msg(me, 1, U32Codec.encode(&9))
+                    .write_to(&mut s)
+                    .expect("round 1");
+                s
+            })
+            .collect();
+        drop(streams);
+
+        for handle in [a, b] {
+            let (outcome, down) = handle.join().expect("node thread");
+            assert_eq!(outcome, Outcome::Decided { value: 9, round: 3 });
+            assert_eq!(down, Some(Confirm::Refused));
+        }
+    }
+
+    #[test]
+    fn a_connected_silent_peer_times_out_instead_of_crashing() {
+        // Node 1 is a raw-socket fake that handshakes and then never
+        // sends a round frame, though it keeps the link open and reads
+        // what it is sent. Resends do not make it a suspect-turned-dead:
+        // the round fails loudly with a timeout naming it.
+        let peers = localhost_peers(2, 42190);
+        let addr = peers[0];
+        let fake = thread::spawn(move || {
+            let mut s = loop {
+                match TcpStream::connect(addr) {
+                    Ok(s) => break s,
+                    Err(_) => thread::sleep(Duration::from_millis(10)),
+                }
+            };
+            Frame::hello(ProcessId::new(1))
+                .write_to(&mut s)
+                .expect("hello");
+            while let Ok(Some(_)) = Frame::read_from(&mut s) {}
+        });
+        let config = NodeConfig::new(ProcessId::new(0), peers)
+            .expect("valid config")
+            .with_round_timeout(Duration::from_millis(300));
+        let mut tcp = TcpTransport::establish(&config).expect("mesh forms");
+        tcp.broadcast(1, vec![0], 2).expect("broadcast");
+        match tcp.collect(1) {
+            Err(TcpError::RoundTimeout { round, peers }) => {
+                assert_eq!((round, peers), (1, vec![ProcessId::new(1)]));
+            }
+            other => panic!("expected a round timeout, got {other:?}"),
+        }
+        assert!(tcp.peers[1].down.is_none(), "silent peer declared dead");
+        drop(tcp);
+        fake.join().expect("fake peer");
     }
 
     /// A hostile peer speaks the frame protocol badly on purpose:
